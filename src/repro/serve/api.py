@@ -106,6 +106,8 @@ class Fleet(Protocol):
 
     def is_finished(self, key: str) -> bool: ...
 
+    def status(self, key: str) -> tuple[str, bool]: ...
+
     # -- event intake and dispatch -------------------------------------
     def encode(self, events): ...
 

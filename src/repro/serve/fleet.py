@@ -504,6 +504,20 @@ class FleetEngine:
             return self._store.backends[slot].is_finished()
         return self._final[self._store.states[slot] // self._width]
 
+    def status(self, key: str) -> tuple[str, bool]:
+        """``(state_name, is_finished)`` of one instance in one call.
+
+        Both answers come from the serving machine, so they agree under
+        ``optimize=`` too (merged state names are the serving machine's,
+        not :attr:`machine`'s).
+        """
+        slot = self._store.slot(key)
+        if self._mode == "naive":
+            instance = self._store.backends[slot]
+            return instance.get_state(), instance.is_finished()
+        row = self._store.states[slot] // self._width
+        return self._table.state_names[row], self._final[row]
+
     # ------------------------------------------------------------------
     # event intake
     # ------------------------------------------------------------------

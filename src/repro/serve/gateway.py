@@ -17,7 +17,7 @@ Endpoints::
                              | {"events": [[k, m], ...]}  (one batch run)
     POST /post               queue one event (mailbox path)
     POST /drain              flush queued traffic
-    GET  /state?key=k        current state name
+    GET  /state?key=k        current state name + finished flag
     GET  /trace?key=k        state + full action log
     GET  /snapshot           portable fleet snapshot (JSON)
     POST /restore            snapshot JSON -> rebuilt population
@@ -35,8 +35,12 @@ mid-request (or idles past the keep-alive window) is answered with
 ``408`` and closed after ``read_timeout`` seconds; a request whose
 ``Content-Length`` exceeds ``max_body`` is refused with ``413`` before
 the body is read — a slow or hostile client can never hold a reader
-coroutine forever.  Requests that land on a supervised fleet's
-recovering partition return ``503`` with a ``Retry-After`` header (from
+coroutine forever.  A request head that cannot be parsed safely is
+refused and the connection closed: a ``Content-Length`` that is not a
+non-negative integer gets ``400``, a request line or header block larger
+than the 64 KiB stream limit gets ``431``.  Requests that land on a
+supervised fleet's recovering partition return ``503`` with a
+``Retry-After`` header (from
 :class:`~repro.serve.recovery.FleetRecoveringError`) instead of an
 error: the partition is healing, not gone, and ``/healthz`` reports the
 per-worker ``live``/``recovering``/``dead`` states while it does.
@@ -70,6 +74,10 @@ __all__ = ["FleetGateway", "snapshot_from_json", "snapshot_to_json"]
 
 _WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 
+#: Stream buffer limit (asyncio's default): a request line or header
+#: block that does not fit is refused with ``431``.
+_HEAD_LIMIT = 1 << 16
+
 _STATUS_TEXT = {
     200: "OK",
     400: "Bad Request",
@@ -78,6 +86,7 @@ _STATUS_TEXT = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -173,7 +182,7 @@ class FleetGateway:
         """Bind and start serving; ``self.port`` becomes the bound port."""
         self._shutdown = asyncio.Event()
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=_HEAD_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -220,10 +229,9 @@ class FleetGateway:
         try:
             while True:
                 try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader), timeout=self._read_timeout
-                    )
-                except asyncio.TimeoutError:
+                    async with asyncio.timeout(self._read_timeout):
+                        request = await self._read_request(reader)
+                except TimeoutError:
                     # Stalled mid-request (or idle past the keep-alive
                     # window): answer 408 and reclaim the coroutine.
                     self._requests.add(1)
@@ -239,8 +247,10 @@ class FleetGateway:
                     await writer.drain()
                     break
                 except _HttpError as exc:
-                    # Oversized body: refused before it is read, so the
-                    # connection cannot be resynchronized — close it.
+                    # Unusable head (oversized or unframeable body, head
+                    # past the stream limit): the request boundary is
+                    # lost, so the connection cannot be resynchronized —
+                    # answer, then close it.
                     self._requests.add(1)
                     self._errors.add(1)
                     status, payload, content_type = self._json(
@@ -289,21 +299,44 @@ class FleetGateway:
                 pass
 
     async def _read_request(self, reader):
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
+        try:
+            line = await reader.readline()
+            if not line or line in (b"\r\n", b"\n"):
+                return None
+            parts = line.decode("latin-1").split()
+            if len(parts) < 2:
+                return None
+            # The whole header block in one read: it ends at a blank line
+            # in the request line's own style (CRLF, or bare LF).  Its
+            # first byte is read alone so that a request without headers
+            # (the blank line right after the request line) ends at once.
+            eol = b"\r\n" if line.endswith(b"\r\n") else b"\n"
+            first = await reader.readexactly(1)
+            if first == b"\r":
+                await reader.readexactly(1)
+                block = b""
+            elif first == b"\n":
+                block = b""
+            else:
+                block = first + await reader.readuntil(eol + eol)
+        except (asyncio.LimitOverrunError, ValueError):
+            raise _HttpError(
+                431, f"request head exceeds the {_HEAD_LIMIT}-byte limit"
+            ) from None
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        for header in block.decode("latin-1").split("\n"):
+            name, _, value = header.partition(":")
+            name = name.strip()
+            if name:
+                headers[name.lower()] = value.strip()
+        raw_length = headers.get("content-length")
+        if not raw_length:
+            length = 0
+        elif raw_length.isascii() and raw_length.isdigit():
+            length = int(raw_length)
+        else:
+            raise _HttpError(400, f"invalid Content-Length {raw_length!r}")
         if length > self._max_body:
             raise _HttpError(
                 413,
@@ -452,13 +485,9 @@ class FleetGateway:
             key = query.get("key")
             if key is None:
                 raise _HttpError(400, "use GET /state?key=...")
+            state, finished = fleet.status(key)
             return self._json(
-                200,
-                {
-                    "key": key,
-                    "state": fleet.state_name(key),
-                    "finished": fleet.is_finished(key),
-                },
+                200, {"key": key, "state": state, "finished": finished}
             )
         if path == "/trace":
             key = query.get("key")
@@ -574,10 +603,11 @@ class FleetGateway:
                     )
                 }
             elif op == "state":
+                state, finished = self._fleet.status(message["key"])
                 result = {
                     "key": message["key"],
-                    "state": self._fleet.state_name(message["key"]),
-                    "finished": self._fleet.is_finished(message["key"]),
+                    "state": state,
+                    "finished": finished,
                 }
             elif op == "len":
                 result = {"instances": len(self._fleet)}

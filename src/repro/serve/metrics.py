@@ -13,6 +13,7 @@ the engine itself never reads the clock.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 
 @dataclass(slots=True)
@@ -108,3 +109,31 @@ class FleetMetrics:
     def as_dict(self) -> dict:
         """All counters as a plain dict (for JSON artifacts and reports)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def pack(self) -> tuple:
+        """Every counter as one flat tuple of ints (the compact frame).
+
+        The scalar counters come first, in field order, then the
+        ``shard_depths`` gauge vector.  A multiprocess worker
+        attaches this frame to every reply: a tuple of small ints
+        pickles far smaller and faster than the dataclass itself.
+        :meth:`unpack` is the exact inverse.
+        """
+        return _frame_head(self) + tuple(self.shard_depths)
+
+    @classmethod
+    def unpack(cls, frame: tuple) -> "FleetMetrics":
+        """Rebuild the counters from a :meth:`pack` frame."""
+        metrics = cls(shard_depths=list(frame[_FRAME_WIDTH:]))
+        for name, value in zip(_FRAME_FIELDS, frame):
+            setattr(metrics, name, value)
+        return metrics
+
+
+#: The scalar counters in compact-frame order (every field except the
+#: variable-length ``shard_depths``, which trails the frame).
+_FRAME_FIELDS = tuple(
+    f.name for f in fields(FleetMetrics) if f.name != "shard_depths"
+)
+_FRAME_WIDTH = len(_FRAME_FIELDS)
+_frame_head = attrgetter(*_FRAME_FIELDS)

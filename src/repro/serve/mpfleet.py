@@ -13,11 +13,15 @@ shard-independent state, so nothing is shared between processes.
 
 The wire protocol is deliberately small.  Parent and worker speak over
 one duplex :func:`multiprocessing.Pipe` with request tuples
-``(op, *operands)`` and reply envelopes
-``(status, payload, FleetMetrics)``: every reply piggybacks the worker's
-current counters, so the parent's merged :attr:`MultiprocessFleet.metrics`
-view (via :meth:`~repro.serve.metrics.FleetMetrics.merge`) is always
-current without extra round trips.  Bulk dispatch fans out *flat*
+``(op, *operands)`` and reply envelopes ``(status, payload, frame)``:
+every reply piggybacks the worker's current counters as a compact frame
+(:meth:`~repro.serve.metrics.FleetMetrics.pack`, a flat tuple of ints —
+far cheaper to pickle than the dataclass), so the parent's merged
+:attr:`MultiprocessFleet.metrics` view (rebuilt from the frames on read,
+then folded with :meth:`~repro.serve.metrics.FleetMetrics.merge`) is
+always current without extra round trips.  A single-instance request —
+``deliver``, or ``status`` (state name *and* finished flag in one reply)
+— costs exactly one round trip.  Bulk dispatch fans out *flat*
 ``array('q')`` schedules — an ``array`` pickles as one memcpy, so the
 per-event IPC cost is two machine ints, not two Python objects — and the
 parent interns keys and messages itself (it builds the same
@@ -78,6 +82,7 @@ import weakref
 from array import array
 from dataclasses import replace
 from itertools import chain
+from pickle import HIGHEST_PROTOCOL, dumps, loads
 from time import perf_counter, sleep
 from typing import Optional
 
@@ -111,6 +116,8 @@ from repro.serve.vector import require_numpy
 from repro.serve.workload import session_keys
 
 __all__ = ["EncodedFleetSchedule", "MultiprocessFleet"]
+
+_EMPTY_FRAME = FleetMetrics().pack()
 
 #: Worker lifecycle states (the recovery state machine's vocabulary).
 WORKER_LIVE = "live"
@@ -153,15 +160,15 @@ class EncodedFleetSchedule:
 class _Worker:
     """Parent-side handle of one worker process (one incarnation)."""
 
-    __slots__ = ("process", "conn", "status", "metrics", "restart_base", "registry_base")
+    __slots__ = ("process", "conn", "status", "frame", "restart_base", "registry_base")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.status = WORKER_LIVE
-        #: Last counters reported by *this incarnation* (piggybacked on
-        #: every reply).
-        self.metrics = FleetMetrics()
+        #: Last counters reported by *this incarnation*, as the compact
+        #: frame piggybacked on every reply (unpacked only on read).
+        self.frame = _EMPTY_FRAME
         #: Counters accumulated by previous incarnations (the checkpoint
         #: baseline installed at respawn) — the worker's effective view
         #: is ``combine_metrics(restart_base, metrics)``.
@@ -169,8 +176,29 @@ class _Worker:
         self.registry_base: Optional[MetricsRegistry] = None
 
     @property
+    def metrics(self) -> FleetMetrics:
+        """This incarnation's counters, rebuilt from the last frame."""
+        return FleetMetrics.unpack(self.frame)
+
+    @property
     def alive(self) -> bool:
         return self.status == WORKER_LIVE
+
+
+def _put(conn, message) -> None:
+    """Send one wire message.
+
+    Plain pickle over ``send_bytes``: ``Connection.send`` builds a fresh
+    ``ForkingPickler`` (copying its reducer table) per message, which
+    costs several times the pickling of a small request or reply.
+    Nothing on this wire needs its extra reducers.
+    """
+    conn.send_bytes(dumps(message, HIGHEST_PROTOCOL))
+
+
+def _get(conn):
+    """Receive one wire message sent by :func:`_put`."""
+    return loads(conn.recv_bytes())
 
 
 def _worker_main(conn, machine, options) -> None:
@@ -196,7 +224,7 @@ def _worker_main(conn, machine, options) -> None:
     _reply(conn, "ok", "ready", engine)
     while True:
         try:
-            request = conn.recv()
+            request = _get(conn)
         except (EOFError, OSError):
             break
         op = request[0]
@@ -215,9 +243,9 @@ def _worker_main(conn, machine, options) -> None:
 
 
 def _reply(conn, status: str, payload, engine) -> None:
-    metrics = engine.metrics if engine is not None else None
+    frame = engine.metrics.pack() if engine is not None else None
     try:
-        conn.send((status, payload, metrics))
+        _put(conn, (status, payload, frame))
     except (BrokenPipeError, OSError):
         pass
 
@@ -225,6 +253,11 @@ def _reply(conn, status: str, payload, engine) -> None:
 def _handle(engine: FleetEngine, request: tuple):
     """Execute one parent request against the worker's engine."""
     op = request[0]
+    # The per-request gateway ops come first: they are the hot path.
+    if op == "deliver":
+        return engine.deliver(request[1], request[2])
+    if op == "status":
+        return engine.status(request[1])
     if op == "run_flat":
         engine.run(request[1], encoding="flat")
         return None
@@ -241,18 +274,12 @@ def _handle(engine: FleetEngine, request: tuple):
     if op == "recycle":
         engine.recycle(request[1])
         return None
-    if op == "deliver":
-        return engine.deliver(request[1], request[2])
-    if op == "state":
-        return engine.state_name(request[1])
     if op == "action_count":
         return engine.action_count(request[1])
     if op == "actions_since":
         return engine.actions_since(request[1], request[2])
     if op == "trace":
         return engine.trace(request[1])
-    if op == "finished":
-        return engine.is_finished(request[1])
     if op == "snapshot":
         return engine.snapshot()
     if op == "restore":
@@ -453,7 +480,7 @@ class MultiprocessFleet:
             # partition's effective view falls back to its checkpoint
             # baseline until replay rebuilds the rest.
             checkpoint = self._journals[wid].checkpoint
-            worker.metrics = FleetMetrics()
+            worker.frame = _EMPTY_FRAME
             worker.restart_base = combine_metrics(
                 checkpoint.metrics, FleetMetrics()
             )
@@ -501,7 +528,7 @@ class MultiprocessFleet:
         if not worker.alive:
             self._raise_unavailable(wid, died=False)
         try:
-            worker.conn.send(request)
+            _put(worker.conn, request)
         except (BrokenPipeError, OSError):
             self._worker_failed(wid)
             self._raise_unavailable(wid, died=True)
@@ -509,12 +536,12 @@ class MultiprocessFleet:
     def _recv(self, wid: int):
         worker = self._workers[wid]
         try:
-            status, payload, metrics = worker.conn.recv()
+            status, payload, frame = _get(worker.conn)
         except (EOFError, OSError):
             self._worker_failed(wid)
             self._raise_unavailable(wid, died=True)
-        if metrics is not None:
-            worker.metrics = metrics
+        if frame is not None:
+            worker.frame = frame
         if status == "ok":
             return payload
         if status == "err":
@@ -673,7 +700,7 @@ class MultiprocessFleet:
             handle: Optional[_Worker] = None
             try:
                 handle = self._launch_worker()
-                status, payload, metrics = handle.conn.recv()
+                status, payload, _frame = _get(handle.conn)
                 if status != "ok":
                     raise DeploymentError(
                         f"respawned worker {wid} failed to start: {payload}"
@@ -779,10 +806,10 @@ class MultiprocessFleet:
         validation path) rejects identically on replay — that *is* the
         original behaviour, not a recovery failure.
         """
-        handle.conn.send(request)
-        status, payload, metrics = handle.conn.recv()
-        if metrics is not None:
-            handle.metrics = metrics
+        _put(handle.conn, request)
+        status, payload, frame = _get(handle.conn)
+        if frame is not None:
+            handle.frame = frame
         if status == "ok":
             return payload
         if status == "err" and tolerate_err:
@@ -1046,7 +1073,7 @@ class MultiprocessFleet:
     # ------------------------------------------------------------------
 
     def state_name(self, key: str) -> str:
-        return self._request(self._locate(key)[0], "state", key)
+        return self.status(key)[0]
 
     def action_count(self, key: str) -> int:
         return self._request(self._locate(key)[0], "action_count", key)
@@ -1058,7 +1085,11 @@ class MultiprocessFleet:
         return self._request(self._locate(key)[0], "trace", key)
 
     def is_finished(self, key: str) -> bool:
-        return self._request(self._locate(key)[0], "finished", key)
+        return self.status(key)[1]
+
+    def status(self, key: str) -> tuple[str, bool]:
+        """``(state_name, is_finished)`` in one worker round trip."""
+        return self._request(self._locate(key)[0], "status", key)
 
     # ------------------------------------------------------------------
     # event intake and dispatch
@@ -1382,16 +1413,16 @@ class MultiprocessFleet:
             if not worker.alive:
                 continue
             try:
-                worker.conn.send(("stop",))
+                _put(worker.conn, ("stop",))
             except (BrokenPipeError, OSError):
                 worker.status = WORKER_DEAD
                 continue
             stopping.append(worker)
         for worker in stopping:
             try:
-                status, payload, metrics = worker.conn.recv()
-                if metrics is not None:
-                    worker.metrics = metrics
+                status, payload, frame = _get(worker.conn)
+                if frame is not None:
+                    worker.frame = frame
             except (EOFError, OSError):
                 pass
         self._closed = True

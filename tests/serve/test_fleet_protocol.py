@@ -94,6 +94,18 @@ def test_spawn_observe_lifecycle(any_fleet):
     assert "solo" not in fleet and len(fleet) == 0
 
 
+def test_status_pairs_state_name_and_finished(any_fleet):
+    keys, events = workload(any_fleet, instances=20, events=400)
+    any_fleet.run(events)
+    statuses = [any_fleet.status(key) for key in keys]
+    assert statuses == [
+        (any_fleet.state_name(key), any_fleet.is_finished(key)) for key in keys
+    ]
+    assert any(finished for _state, finished in statuses)
+    with pytest.raises(DeploymentError, match="unknown instance 'ghost'"):
+        any_fleet.status("ghost")
+
+
 def test_run_events_matches_standalone(any_fleet):
     keys, events = workload(any_fleet)
     metrics = any_fleet.run(events)

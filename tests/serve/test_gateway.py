@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 
+from repro.models.commit_hsm import build_commit_hsm
 from repro.serve import diff_fleets, make_fleet
 from repro.serve.gateway import FleetGateway, snapshot_from_json
 
@@ -41,11 +42,14 @@ async def http(reader, writer, method, path, payload=None):
     return status, data.decode()
 
 
-def gateway_test(body, **gateway_kwargs):
-    """Run ``body(gateway, reader, writer)`` against a live gateway."""
+def gateway_test(body, fleet=None, **gateway_kwargs):
+    """Run ``body(gateway, reader, writer)`` against a live gateway
+    (over an in-process ``commit`` fleet unless ``fleet`` is given)."""
 
     async def main():
-        fleet = make_fleet("commit", mode="encoded", shards=4)
+        nonlocal fleet
+        if fleet is None:
+            fleet = make_fleet("commit", mode="encoded", shards=4)
         gateway = FleetGateway(fleet, port=0, **gateway_kwargs)
         await gateway.start()
         try:
@@ -482,3 +486,230 @@ def test_partial_snapshot_carries_lost_manifest_over_the_wire():
             fleet.close()
 
     asyncio.run(main())
+
+
+# ---------------------------------------------------------------------------
+# head parsing: malformed Content-Length, oversized heads, line styles
+# ---------------------------------------------------------------------------
+
+
+async def assert_refused_and_closed(reader, writer, request, status):
+    """Send ``request``; expect ``status`` with Connection: close, then EOF."""
+    got, headers, out = await raw_http(reader, writer, request)
+    assert got == status
+    assert headers["connection"] == "close"
+    assert await reader.read() == b""
+    return out
+
+
+def test_non_integer_content_length_refused_with_400():
+    async def body(gateway, reader, writer):
+        out = await assert_refused_and_closed(
+            reader,
+            writer,
+            b"POST /deliver HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: twelve\r\n\r\n",
+            400,
+        )
+        assert "Content-Length" in out["error"]
+
+    gateway_test(body)
+
+
+def test_negative_content_length_refused_with_400():
+    async def body(gateway, reader, writer):
+        out = await assert_refused_and_closed(
+            reader,
+            writer,
+            b"POST /deliver HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: -5\r\n\r\n",
+            400,
+        )
+        assert "Content-Length" in out["error"]
+
+    gateway_test(body)
+
+
+def test_header_block_over_stream_limit_refused_with_431():
+    async def body(gateway, reader, writer):
+        # Many small headers: no single line is long, the block is.
+        filler = b"".join(
+            b"X-Filler-%05d: %s\r\n" % (i, b"v" * 40) for i in range(1200)
+        )
+        assert len(filler) > 1 << 16
+        out = await assert_refused_and_closed(
+            reader,
+            writer,
+            b"GET /healthz HTTP/1.1\r\nHost: test\r\n" + filler + b"\r\n",
+            431,
+        )
+        assert "limit" in out["error"]
+
+    gateway_test(body)
+
+
+def test_request_line_over_stream_limit_refused_with_431():
+    async def body(gateway, reader, writer):
+        target = b"/state?key=" + b"k" * (1 << 16)
+        await assert_refused_and_closed(
+            reader, writer, b"GET " + target + b" HTTP/1.1\r\n\r\n", 431
+        )
+
+    gateway_test(body)
+
+
+def test_bare_lf_heads_are_accepted():
+    async def body(gateway, reader, writer):
+        payload = json.dumps({"count": 2}).encode()
+        status, headers, out = await raw_http(
+            reader,
+            writer,
+            b"POST /spawn HTTP/1.1\nHost: test\n"
+            + b"Content-Length: %d\n\n" % len(payload)
+            + payload,
+        )
+        assert status == 200 and len(out["spawned"]) == 2
+        assert headers["connection"] == "keep-alive"
+        # No headers at all, in either line style.
+        status, _, out = await raw_http(
+            reader, writer, b"GET /healthz HTTP/1.0\n\n"
+        )
+        assert (status, out["instances"]) == (200, 2)
+        status, _, out = await raw_http(
+            reader, writer, b"GET /healthz HTTP/1.0\r\n\r\n"
+        )
+        assert (status, out["instances"]) == (200, 2)
+        # A one-character header line must not swallow the blank line.
+        status, _, out = await raw_http(
+            reader, writer, b"GET /healthz HTTP/1.1\r\nX\r\n\r\n"
+        )
+        assert status == 200
+
+    gateway_test(body)
+
+
+# ---------------------------------------------------------------------------
+# one worker round trip per single-event request (multiprocess fleet)
+# ---------------------------------------------------------------------------
+
+
+def count_worker_requests(fleet) -> list:
+    """Record the op of every request the parent sends to a worker."""
+    ops: list = []
+    send = fleet._send
+
+    def counting(wid, request):
+        ops.append(request[0])
+        return send(wid, request)
+
+    fleet._send = counting
+    return ops
+
+
+def mp_fleet(model="commit", **kwargs):
+    return make_fleet(model, mode="encoded", workers=2, shards=2, **kwargs)
+
+
+def test_deliver_and_state_cost_one_worker_request_each():
+    for journal in (False, True):
+
+        async def body(gateway, reader, writer):
+            fleet = gateway.fleet
+            status, out = await http(
+                reader, writer, "POST", "/spawn", {"count": 8}
+            )
+            keys = out["spawned"]
+            ops = count_worker_requests(fleet)
+            for key in keys:
+                status, out = await http(
+                    reader, writer, "POST", "/deliver",
+                    {"key": key, "message": "update"},
+                )
+                assert (status, out) == (200, {"fired": True})
+                assert ops == ["deliver"]
+                ops.clear()
+                status, out = await http(
+                    reader, writer, "GET", f"/state?key={key}"
+                )
+                assert status == 200
+                assert (out["state"], out["finished"]) == fleet.status(key)
+                assert ops == ["status", "status"]  # gateway's + the check's
+                ops.clear()
+
+        gateway_test(body, fleet=mp_fleet(journal=journal))
+
+
+def test_state_finished_on_optimized_fleet():
+    machine = build_commit_hsm(4).flatten("eager")
+    twin = make_fleet(machine, mode="encoded", shards=2, optimize=3)
+    twin.spawn("k")
+    for message in ("begin", "abort"):
+        twin.deliver("k", message)
+
+    async def body(gateway, reader, writer):
+        fleet = gateway.fleet
+        # The optimizer merged Aborted into Done: the served name is not
+        # the one the unoptimized machine reached.
+        assert fleet.state_map["Aborted"] == "Done"
+        await http(reader, writer, "POST", "/spawn", {"key": "k"})
+        ops = count_worker_requests(fleet)
+        status, out = await http(reader, writer, "GET", "/state?key=k")
+        assert (status, out["finished"]) == (200, False)
+        for message in ("begin", "abort"):
+            await http(
+                reader, writer, "POST", "/deliver",
+                {"key": "k", "message": message},
+            )
+        ops.clear()
+        status, out = await http(reader, writer, "GET", "/state?key=k")
+        assert ops == ["status"]
+        assert (status, out) == (
+            200, {"key": "k", "state": "Done", "finished": True}
+        )
+        assert (out["state"], out["finished"]) == twin.status("k")
+
+    try:
+        gateway_test(body, fleet=mp_fleet(machine, optimize=3))
+    finally:
+        twin.close()
+
+
+def test_websocket_state_op_costs_one_worker_request():
+    async def body(gateway, reader, writer):
+        fleet = gateway.fleet
+        await http(reader, writer, "POST", "/spawn", {"count": 2})
+        writer.write(
+            b"GET /ws HTTP/1.1\r\nHost: t\r\nUpgrade: websocket\r\n"
+            b"Connection: Upgrade\r\n"
+            b"Sec-WebSocket-Key: dGVzdGtleTEyMzQ1Njc4OQ==\r\n"
+            b"Sec-WebSocket-Version: 13\r\n\r\n"
+        )
+        await writer.drain()
+        assert b"101" in await reader.readline()
+        while (await reader.readline()) not in (b"\r\n", b""):
+            pass
+
+        async def ws(obj):
+            payload = json.dumps(obj).encode()
+            writer.write(bytes((0x81, len(payload))) + payload)  # unmasked
+            await writer.drain()
+            head = await reader.readexactly(2)
+            return json.loads(await reader.readexactly(head[1] & 0x7F))
+
+        key = "session-0000000"
+        ops = count_worker_requests(fleet)
+        out = await ws({"op": "state", "key": key})
+        assert ops == ["status"]
+        assert out == {
+            "key": key, "state": fleet.state_name(key), "finished": False
+        }
+        for message in ("update", "vote", "commit", "finalize"):
+            await ws({"op": "deliver", "key": key, "message": message})
+        ops.clear()
+        out = await ws({"op": "state", "key": key})
+        assert ops == ["status"]
+        assert (out["state"], out["finished"]) == fleet.status(key)
+        out = await ws({"op": "state", "key": "ghost"})
+        assert out == {"error": "unknown instance 'ghost'"}
+
+    gateway_test(body, fleet=mp_fleet())

@@ -24,6 +24,7 @@ from repro.serve import (
     make_fleet,
 )
 from repro.serve.adapter import BACKENDS
+from repro.serve.metrics import FleetMetrics
 from repro.serve.mpfleet import EncodedFleetSchedule
 from repro.serve.workload import WorkloadSpec, generate_workload
 
@@ -250,3 +251,76 @@ def test_run_encoded_shims_warn_and_match_run():
     ):
         flat_old.run_encoded_flat(flat_old.encode_flat(events))
     assert diff_fleets(flat_new, flat_old, keys) == []
+
+
+# ---------------------------------------------------------------------------
+# compact reply frames: the parent's merged metrics stay exact
+# ---------------------------------------------------------------------------
+
+
+def test_metrics_frame_round_trips():
+    metrics = FleetMetrics(events_offered=7, transitions_fired=5)
+    metrics.observe_depths([3, 0, 9])
+    frame = metrics.pack()
+    assert all(type(value) is int for value in frame)
+    assert FleetMetrics.unpack(frame) == metrics
+    assert FleetMetrics.unpack(FleetMetrics().pack()) == FleetMetrics()
+
+
+@pytest.mark.parametrize("mode", ["batched", "encoded"])
+def test_metrics_from_reply_frames_equal_inprocess_twin(mode):
+    """One in-process engine per worker, fed exactly that worker's share
+    in the same order, is the MP fleet's partition model: merging the
+    twins' counters must give the parent's frame-built view, field for
+    field (``test_metrics_frame_round_trips`` covers non-empty depth
+    gauges, which unbounded worker engines never observe)."""
+    mp = make_fleet("commit", mode=mode, workers=2, shards=2)
+    twins = [make_fleet("commit", mode=mode, shards=2) for _ in range(2)]
+
+    def twin_run(events):
+        shares = [[], []]
+        for key, message in events:
+            shares[mp.worker_of(key)].append((key, message))
+        for twin, share in zip(twins, shares):
+            if not share:
+                continue
+            # The wire form of a worker's share: a flat slot buffer on
+            # encoded intake, the string events themselves otherwise.
+            if mode == "encoded":
+                twin.run(twin.encode_flat(share), encoding="flat")
+            else:
+                twin.run(share, encoding="events")
+
+    try:
+        keys = mp.spawn_many(60)
+        for key in keys:
+            twins[mp.worker_of(key)].spawn(key)
+        events = workload(mp.machine, 60, 900)
+        mp.run(events)
+        twin_run(events)
+        for key in keys[:10]:
+            assert mp.deliver(key, "update") == twins[
+                mp.worker_of(key)
+            ].deliver(key, "update")
+        posted = [(key, "vote") for key in keys[10:40]]
+        for key, message in posted:
+            mp.post(key, message)
+        assert mp.drain_all() == len(posted)
+        twin_run(posted)
+        mp.recycle(keys[0])
+        twins[mp.worker_of(keys[0])].recycle(keys[0])
+        mp.despawn(keys[1])
+        twins[mp.worker_of(keys[1])].despawn(keys[1])
+
+        expected = FleetMetrics()
+        for twin in twins:
+            expected.merge(twin.metrics)
+        got = mp.metrics.as_dict()
+        assert got == expected.as_dict()
+        assert got["instances_released"] == 1
+        for key in keys[2:]:
+            assert mp.status(key) == twins[mp.worker_of(key)].status(key)
+    finally:
+        mp.close()
+        for twin in twins:
+            twin.close()
